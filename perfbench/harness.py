@@ -285,9 +285,8 @@ def assemble(workload, rounds: list[Round], inputs, traced: bool) -> dict:
     attempted, failed = plain.attempted, plain.failed
     details: dict = {"rounds": len(rounds), "errors": plain.errors[:4]}
     extras = [r["extras"] for r in (rounds[-1].ranks if rounds else []) if r is not None]
-    if extras and "loss_final" in extras[0]:
+    if extras:
         details["loss_initial"] = extras[0]["loss_initial"]
-        details["loss_final"] = extras[0]["loss_final"]
     sizes = [len(lat) for lat in plain.latencies if lat]
     tail = tail_percentile(min(sizes, default=0))
     details["op_tail"] = {"percentile": tail, "n_per_round": sizes}
@@ -303,13 +302,17 @@ def assemble(workload, rounds: list[Round], inputs, traced: bool) -> dict:
             "op_p50_ms": (p50_s * 1e3, "ms"),
             "op_tail_ms": (round_percentile(plain.latencies, tail) * 1e3, "ms"),
             "ops_per_s": (completed / plain.batch_wall_s if plain.batch_wall_s else 0.0, "1/s"),
+            "samples_per_s": (
+                NRANKS * workload.batch_size * completed / plain.batch_wall_s
+                if plain.batch_wall_s else 0.0,
+                "1/s",
+            ),
+            # loss after one episode's fixed number of steps, on the workload's
+            # fixed evaluation set; every episode of the run ends identically
+            "loss_final": (extras[0]["loss_final"] if extras else 0.0, "nats"),
             "wire_bytes_per_op": (plain.wire_bytes / completed if completed else 0.0, "B"),
             "success_rate": ((attempted - failed) / attempted if attempted else 0.0, "ratio"),
         }
-        if workload.kind == "train" and plain.batch_wall_s:
-            details["samples_per_s"] = (
-                NRANKS * workload.batch_size * completed / plain.batch_wall_s
-            )
         correct = failed == 0 and attempted > 0 and agree
         return report(correct, attempted, failed, metrics, details, agree)
 

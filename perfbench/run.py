@@ -1,4 +1,4 @@
-"""The repository benchmark: SparCML collectives and training steps on 2 ranks.
+"""The repository benchmark: SparCML data-parallel training steps on 2 ranks.
 
 Run from the repository root::
 

@@ -19,13 +19,7 @@ import numpy as np
 import pytest
 
 import harness
-from repro import SparseStream
-from workloads import (
-    WORKLOADS,
-    AllreduceWorkload,
-    matches_reference,
-    same_stream,
-)
+from workloads import WORKLOADS, TrainTopKWorkload
 
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
@@ -66,78 +60,59 @@ def test_printed_metrics_match_benchmark_json(workload, trace):
         assert result["metrics"]["trace.attributed_share"]["value"] >= 0.9
 
 
-def test_reference_check_catches_a_corrupted_value():
-    rng = np.random.default_rng(0)
-    a = SparseStream.random_uniform(1000, 40, rng)
-    b = SparseStream.random_uniform(1000, 40, rng)
-    dense = a.to_dense().astype(np.float64) + b.to_dense().astype(np.float64)
-    idx = np.union1d(a.indices, b.indices).astype(np.int64)
-    total = SparseStream(
-        1000, indices=idx.astype(a.indices.dtype), values=dense[idx].astype(np.float32)
-    )
-    assert matches_reference(total, idx, dense[idx])
-    bad = total.copy()
-    bad.values[3] = np.nextafter(bad.values[3], np.float32(np.inf))
-    bad.values[3] = np.nextafter(bad.values[3], np.float32(np.inf))
-    assert not matches_reference(bad, idx, dense[idx])
-    assert not same_stream(bad, total)
-    assert same_stream(total.copy(), total)
+@dataclasses.dataclass
+class CorruptingWorkload(TrainTopKWorkload):
+    """Rank 1 flips one bit of its params after its second episode."""
+
+    episodes: int = 0
+
+    def run_batch(self, comm, inputs, state, spans, times):
+        params = super().run_batch(comm, inputs, state, spans, times)
+        self.episodes += 1
+        if comm.rank == 1 and self.episodes == 2:
+            params = params.copy()
+            params.view(np.uint32)[0] ^= 1
+        return params
 
 
 @dataclasses.dataclass
-class CorruptingWorkload(AllreduceWorkload):
-    """Rank 1 flips one bit of one result in its second batch."""
+class RaisingWorkload(TrainTopKWorkload):
+    """Rank 1 raises at the start of its second episode."""
 
-    batches: int = 0
-
-    def run_batch(self, comm, inputs, state, spans, times):
-        results = super().run_batch(comm, inputs, state, spans, times)
-        self.batches += 1
-        if comm.rank == 1 and self.batches == 2:
-            j, out = results[0]
-            bad = out.copy()
-            bad.values.view(np.uint32)[0] ^= 1
-            results[0] = (j, bad)
-        return results
-
-
-@dataclasses.dataclass
-class RaisingWorkload(AllreduceWorkload):
-    """Rank 1 raises in the middle of its second batch."""
-
-    batches: int = 0
+    episodes: int = 0
 
     def run_batch(self, comm, inputs, state, spans, times):
-        self.batches += 1
-        if comm.rank == 1 and self.batches == 2:
+        self.episodes += 1
+        if comm.rank == 1 and self.episodes == 2:
             raise RuntimeError("injected rank failure")
         return super().run_batch(comm, inputs, state, spans, times)
 
 
-def small(cls):
-    """A cheap shared-memory allreduce workload to inject faults into."""
-    return cls(
-        name="allreduce-test", why="fault injection", backend="shmem",
-        dimension=1 << 12, nnz=40, pool=4, batch_ops=10, warmup_ops=2,
-    )
+STEPS = 10
+
+
+def short(cls):
+    """train-topk with short episodes, to inject faults into."""
+    return cls(name="train-test", why="fault injection", backend="shmem", batch_size=16,
+               steps=STEPS)
 
 
 def test_corrupted_result_is_counted_as_failed(monkeypatch):
     monkeypatch.setattr(harness, "ROUNDS", 1)
-    report = harness.run_workload(small(CorruptingWorkload), seed=1, seconds=0.5, traced=False)
+    report = harness.run_workload(short(CorruptingWorkload), seed=1, seconds=3.0, traced=False)
     assert report["correct"] is False
-    assert report["failed"] == 1
-    assert report["attempted"] > report["failed"]
+    assert report["failed"] == STEPS
+    assert report["attempted"] >= 2 * STEPS
     assert report["metrics"]["success_rate"]["value"] < 1.0
 
 
 def test_rank_exception_is_counted_not_fatal(monkeypatch):
     monkeypatch.setattr(harness, "ROUNDS", 1)
     monkeypatch.setattr(harness, "OP_TIMEOUT_S", 2.0)
-    report = harness.run_workload(small(RaisingWorkload), seed=1, seconds=5.0, traced=False)
+    report = harness.run_workload(short(RaisingWorkload), seed=1, seconds=5.0, traced=False)
     assert report["correct"] is False
     assert report["failed"] >= 1
-    assert report["attempted"] >= 10 + report["failed"]
+    assert report["attempted"] >= STEPS + report["failed"]
     assert any("injected rank failure" in e for e in report["details"]["errors"])
     assert set(report["metrics"]) == {m["name"] for m in SPEC["end_to_end"]}
 
