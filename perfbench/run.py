@@ -32,6 +32,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS
 import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import signal  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -112,7 +113,52 @@ def host_record() -> dict:
     }
 
 
+def stop_helper_processes(timeout_s: float = 10.0) -> None:
+    """Stop every process this run started and wait until each has ended.
+
+    The rank processes are joined by the program; what can outlive them is
+    multiprocessing's resource tracker, which the shared-memory backend
+    starts on first use and which otherwise exits only some time after this
+    process does. Closing its pipe stops it; it is then reaped here.
+    """
+    import multiprocessing
+    from multiprocessing import resource_tracker
+
+    for child in multiprocessing.active_children():
+        child.terminate()
+    for child in multiprocessing.active_children():
+        child.join(timeout_s)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    tracker = resource_tracker._resource_tracker  # noqa: SLF001
+    fd, pid = tracker._fd, tracker._pid  # noqa: SLF001
+    if fd is None:
+        return
+    tracker._fd = tracker._pid = None  # noqa: SLF001
+    os.close(fd)
+    if pid is None:
+        return
+    deadline = time.monotonic() + timeout_s
+    try:
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                return
+            time.sleep(0.01)
+    except ChildProcessError:
+        pass  # already reaped
+
+
 def main(argv=None) -> int:
+    try:
+        return measure(argv)
+    finally:
+        stop_helper_processes()
+
+
+def measure(argv) -> int:
     if not (SRC / "repro" / "__init__.py").is_file():
         print(f"perfbench: no program to measure: {SRC / 'repro'} is missing", file=sys.stderr)
         return EXIT_NO_PROGRAM
