@@ -33,7 +33,7 @@ from ..collectives.api import sparse_allreduce
 from ..quant import QSGDQuantizer
 from ..runtime.comm import Communicator
 from .topk import ErrorFeedback, quantize_stream_values
-from .topk_sgd import EvalFn, GradFn, TopKSGDResult
+from .topk_sgd import EvalFn, GradFn, TopKSGDResult, apply_sum
 
 __all__ = ["DGCConfig", "WarmupSchedule", "dgc_sgd"]
 
@@ -147,10 +147,9 @@ def dgc_sgd(
         if quantizer is not None:
             sent = quantize_stream_values(sent, quantizer)
         result.bytes_sent_per_step.append(sent.nbytes_payload)
+        # k follows the warm-up schedule, so "auto" is resolved every step
         total = sparse_allreduce(comm, sent, algorithm=config.algorithm)
-        update = total.to_dense()
-        comm.compute(update.nbytes * 2, "apply")
-        params -= update
+        apply_sum(comm, params, total)
         if eval_fn is not None and (step % eval_every == 0 or step == steps - 1):
             result.history.append({"step": step, **eval_fn(params)})
 

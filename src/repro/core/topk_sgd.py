@@ -17,6 +17,18 @@ replicas stay consistent.
 The driver is model-agnostic: it consumes a gradient callback and an
 optional evaluation callback, so linear models (:mod:`repro.mlopt`) and
 neural networks (:mod:`repro.nn`) reuse the same loop.
+
+``algorithm="auto"`` is resolved once, on the first step, and the chosen
+collective is reused for the whole run. The selection depends only on the
+dimension, the world size, the value dtype, the topology and the agreed
+per-rank nnz, and the first four are fixed. So is the nnz: Top-K with a
+fixed ``k`` ships ``k`` entries (global) or ``k*floor(N/B) + min(k, N mod
+B)`` (per bucket) on every step, and quantization keeps every index. The
+per-step agreement round of :func:`~repro.collectives.sparse_allreduce`
+would only repeat the same answer.
+
+The sum is applied in its own representation (:func:`apply_sum`): a sparse
+result updates only its coordinates, a dense one subtracts its payload.
 """
 
 from __future__ import annotations
@@ -26,9 +38,10 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..collectives.api import dense_allreduce, sparse_allreduce
+from ..collectives.api import dense_allreduce, resolve_collective
 from ..quant import QSGDQuantizer
 from ..runtime.comm import Communicator
+from ..streams import SparseStream
 from .topk import ErrorFeedback, quantize_stream_values
 
 __all__ = ["TopKSGDConfig", "TopKSGDResult", "quantized_topk_sgd", "dense_sgd"]
@@ -77,6 +90,20 @@ class TopKSGDResult:
         return float(np.mean(self.bytes_sent_per_step))
 
 
+def apply_sum(comm: Communicator, params: np.ndarray, total: SparseStream) -> None:
+    """``params -= total`` in place, in the sum's own representation.
+
+    Bit-identical to subtracting ``total.to_dense()``: a coordinate the sum
+    does not store would subtract an exact zero. The trace is charged as
+    for that dense update.
+    """
+    comm.compute(total.dimension * total.value_dtype.itemsize * 2, "apply")
+    if total.is_dense:
+        params -= total.dense_payload
+    elif total.nnz:
+        params[total.indices] -= total.values
+
+
 def quantized_topk_sgd(
     comm: Communicator,
     grad_fn: GradFn,
@@ -109,6 +136,7 @@ def quantized_topk_sgd(
         else None
     )
     result = TopKSGDResult(params=params)
+    collective = None  # (fn, kwargs), resolved on the first step
 
     for step in range(steps):
         lr = config.learning_rate(step)
@@ -120,10 +148,10 @@ def quantized_topk_sgd(
         if quantizer is not None:
             sent = quantize_stream_values(sent, quantizer)
         result.bytes_sent_per_step.append(sent.nbytes_payload)
-        total = sparse_allreduce(comm, sent, algorithm=config.algorithm)
-        update = total.to_dense()
-        comm.compute(update.nbytes * 2, "apply")
-        params -= update
+        if collective is None:
+            collective = resolve_collective(comm, sent, algorithm=config.algorithm)
+        fn, kwargs = collective
+        apply_sum(comm, params, fn(comm, sent, **kwargs))
         if eval_fn is not None and (step % eval_every == 0 or step == steps - 1):
             metrics = {"step": step, **eval_fn(params)}
             result.history.append(metrics)

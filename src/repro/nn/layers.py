@@ -5,7 +5,8 @@ train the model families the paper's DNN experiments use — MLPs, small
 convolutional nets (ResNet-style workloads of Figs. 1, 4a, 5) and LSTMs
 (Fig. 4b, §8.4). Every layer owns its parameter and gradient arrays;
 :mod:`repro.nn.network` flattens them into the single parameter vector the
-TopK SGD algorithm operates on.
+TopK SGD algorithm operates on, and re-points them (:meth:`Layer.bind`) at
+views of its flat buffers.
 
 No autograd: backward passes are hand-derived (and verified against finite
 differences in the test suite).
@@ -24,7 +25,9 @@ class Layer(abc.ABC):
     """Base layer: ``forward`` caches what ``backward`` needs.
 
     ``params`` and ``grads`` are parallel lists of arrays (possibly empty
-    for stateless layers).
+    for stateless layers). A :class:`~repro.nn.network.Sequential` owning
+    the layer replaces both lists with views of its flat buffers through
+    :meth:`bind`.
     """
 
     def __init__(self) -> None:
@@ -36,8 +39,23 @@ class Layer(abc.ABC):
         """Compute the layer output; cache intermediates when ``train``."""
 
     @abc.abstractmethod
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        """Accumulate parameter grads; return gradient wrt the input."""
+    def backward(self, dout: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate parameter grads; return gradient wrt the input.
+
+        With ``need_input_grad=False`` the caller discards the input
+        gradient (the network's lowest parameterised layer: nothing below
+        it has parameters), so a layer may skip computing it and return
+        ``None``. Parameter gradients are accumulated either way.
+        """
+
+    def bind(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        """Re-point ``params``/``grads`` at arrays of the same shapes.
+
+        The caller has already copied the current values into ``params``;
+        layers that keep named references (``W``, ``b``) re-point them too.
+        """
+        self.params = params
+        self.grads = grads
 
     @property
     def n_params(self) -> int:
@@ -65,11 +83,15 @@ class Dense(Layer):
             self._x = x
         return x @ self.W + self.b
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def bind(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        super().bind(params, grads)
+        self.W, self.b = params
+
+    def backward(self, dout: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
         assert self._x is not None, "backward before forward"
         self.grads[0] += self._x.T @ dout
         self.grads[1] += dout.sum(axis=0)
-        return dout @ self.W.T
+        return dout @ self.W.T if need_input_grad else None
 
 
 class ReLU(Layer):
@@ -85,7 +107,7 @@ class ReLU(Layer):
             self._mask = mask
         return x * mask
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, need_input_grad: bool = True) -> np.ndarray:
         assert self._mask is not None, "backward before forward"
         return dout * self._mask
 
@@ -103,7 +125,7 @@ class Tanh(Layer):
             self._out = out
         return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, need_input_grad: bool = True) -> np.ndarray:
         assert self._out is not None, "backward before forward"
         return dout * (1.0 - self._out**2)
 
@@ -120,7 +142,7 @@ class Flatten(Layer):
             self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, need_input_grad: bool = True) -> np.ndarray:
         assert self._shape is not None, "backward before forward"
         return dout.reshape(self._shape)
 
@@ -143,7 +165,7 @@ class Dropout(Layer):
         self._mask = (self._rng.random(x.shape) >= self.p) / (1.0 - self.p)
         return x * self._mask
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, need_input_grad: bool = True) -> np.ndarray:
         if self._mask is None:
             return dout
         return dout * self._mask
@@ -235,11 +257,17 @@ class Conv2D(Layer):
             self._x_shape = x.shape
         return out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def bind(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        super().bind(params, grads)
+        self.W, self.b = params
+
+    def backward(self, dout: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
         assert self._cols is not None and self._x_shape is not None
         n, oc, oh, ow = dout.shape
         dflat = dout.transpose(0, 2, 3, 1).reshape(-1, oc)
         self.grads[0] += (dflat.T @ self._cols).reshape(self.W.shape)
         self.grads[1] += dflat.sum(axis=0)
+        if not need_input_grad:
+            return None
         dcols = dflat @ self.W.reshape(oc, -1)
         return self._col2im(dcols, self._x_shape)

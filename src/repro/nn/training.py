@@ -116,7 +116,7 @@ def make_grad_fn(
     rng = np.random.default_rng(seed * 65537 + comm.rank)
 
     def grad_fn(params: np.ndarray, step: int) -> np.ndarray:
-        net.set_param_vector(params.astype(np.float64))
+        net.set_param_vector(params)
         rows = rng.choice(X.shape[0], size=min(batch_size, X.shape[0]), replace=False)
         xb = X[rows]
         if reshape is not None:
@@ -142,7 +142,7 @@ def make_eval_fn(
     y = dataset.y[:max_samples]
 
     def eval_fn(params: np.ndarray) -> dict[str, float]:
-        net.set_param_vector(params.astype(np.float64))
+        net.set_param_vector(params)
         return {"loss": net.loss(X, y), "accuracy": net.accuracy(X, y)}
 
     return eval_fn

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.collectives import sparse_allreduce
 from repro.core import TopKSGDConfig, dense_sgd, quantized_topk_sgd
+from repro.core.topk import ErrorFeedback, quantize_stream_values
+from repro.costmodel import consistent_mean
+from repro.quant import QSGDQuantizer
 from repro.runtime import RankError, run_ranks
 
 
@@ -181,3 +185,80 @@ class TestConsistencyAndAccounting:
 
         out = run_ranks(prog, P)
         assert np.allclose(out[0].params, 7.0)
+
+
+def reference_topk_sgd(comm, grad_fn, dimension, steps, config, init_params):
+    """Algorithm 1 as a plain loop: resolve "auto" and densify the sum every
+    step. Returns the params and whether each step's sum came back dense."""
+    params = init_params.astype(np.float32, copy=True)
+    ef = ErrorFeedback(dimension, config.k, config.bucket_size, value_dtype=np.float32)
+    quantizer = (
+        QSGDQuantizer(
+            bits=config.quantizer_bits,
+            bucket_size=config.quantizer_bucket,
+            seed=config.seed * 7919 + comm.rank,
+        )
+        if config.quantizer_bits is not None
+        else None
+    )
+    dense_sums = []
+    for step in range(steps):
+        grad = grad_fn(params, step)
+        comm.compute(grad.nbytes * 3, "grad")
+        sent = ef.select(config.learning_rate(step) * grad.astype(np.float32, copy=False))
+        if quantizer is not None:
+            sent = quantize_stream_values(sent, quantizer)
+        total = sparse_allreduce(comm, sent, algorithm=config.algorithm)
+        dense_sums.append(total.is_dense)
+        update = total.to_dense()
+        comm.compute(update.nbytes * 2, "apply")
+        params -= update
+    return params, dense_sums
+
+
+class TestMatchesReferenceLoop:
+    """The driver resolves "auto" once and applies the sum in place; both
+    must leave the params exactly where the per-step reference loop does."""
+
+    DIM, P, STEPS = 1000, 2, 12  # 1000 = 15 buckets of 64 plus a tail of 40
+
+    def _run(self, driver, backend, algorithm, bits):
+        grad_fn_for, _ = make_quadratic(self.DIM, self.P)
+        init = np.random.default_rng(3).standard_normal(self.DIM).astype(np.float32)
+        cfg = TopKSGDConfig(
+            k=8, bucket_size=64, lr=0.2, quantizer_bits=bits, quantizer_bucket=64,
+            algorithm=algorithm, seed=5,
+        )
+
+        def prog(comm):
+            out = driver(comm, grad_fn_for(comm.rank), self.DIM, self.STEPS, cfg, init)
+            return out if isinstance(out, tuple) else (out.params, None)
+
+        return run_ranks(prog, self.P, backend=backend)
+
+    @staticmethod
+    def _driver(comm, grad_fn, dimension, steps, cfg, init):
+        return quantized_topk_sgd(comm, grad_fn, dimension, steps, cfg, init_params=init)
+
+    @pytest.mark.parametrize("backend", ["thread", "shmem"])
+    @pytest.mark.parametrize("algorithm", ["ssar_rec_dbl", "dsar_split_ag", "auto"])
+    @pytest.mark.parametrize("bits", [None, 4])
+    def test_bit_identical_params(self, backend, algorithm, bits):
+        ref = self._run(reference_topk_sgd, backend, algorithm, bits)
+        new = self._run(self._driver, backend, algorithm, bits)
+        dense_sums = ref[0][1]
+        if algorithm == "dsar_split_ag":
+            assert all(dense_sums)
+        elif algorithm == "ssar_rec_dbl":
+            assert not any(dense_sums)
+        for r in range(self.P):
+            assert new[r][0].dtype == ref[r][0].dtype == np.float32
+            assert np.array_equal(new[r][0], ref[r][0])
+        # "auto" agrees on the nnz once per run instead of once per step
+        agreement = 0
+        if algorithm == "auto":
+            one_round = run_ranks(lambda comm: consistent_mean(comm, 1.0), self.P, backend=backend)
+            agreement = one_round.trace.total_bytes_sent
+            assert agreement > 0
+        saved = ref.trace.total_bytes_sent - new.trace.total_bytes_sent
+        assert saved == (self.STEPS - 1) * agreement

@@ -174,6 +174,94 @@ class TestFlatParameters:
         assert np.array_equal(a, b)
 
 
+def full_backward_grad(net, x, y):
+    """The per-layer path: backward through every layer, then concatenate."""
+    for layer in net.layers:
+        layer.zero_grads()
+    _, dlogits = softmax_cross_entropy(net.forward(x, train=True), y)
+    grad = dlogits
+    for layer in reversed(net.layers):
+        grad = layer.backward(grad)
+    return np.concatenate([g.ravel() for layer in net.layers for g in layer.grads]).astype(
+        np.float64
+    )
+
+
+class TestFlatBuffers:
+    def test_vectors_are_copies(self, rng):
+        net = make_mlp(8, 4, hidden=(6,), seed=3)
+        net.batch_grad(rng.standard_normal((5, 8)), rng.integers(0, 4, 5))
+        params, grads = net.param_vector(), net.grad_vector()
+        for vec in (params, grads):
+            for layer in net.layers:
+                for arr in layer.params + layer.grads:
+                    assert not np.shares_memory(vec, arr)
+        params_before, grads_before = params.copy(), grads.copy()
+        params += 1.0
+        grads += 1.0
+        assert np.array_equal(net.param_vector(), params_before)
+        assert np.array_equal(net.grad_vector(), grads_before)
+
+    def test_layers_view_the_buffer(self):
+        net = make_mlp(8, 4, hidden=(6,), seed=3)
+        net.set_param_vector(np.arange(net.n_params, dtype=np.float64))
+        first = net.layers[0]
+        assert first.W is first.params[0] and first.b is first.params[1]
+        assert first.W[0, 0] == 0.0 and first.b[0] == first.W.size
+        assert net.layers[-1].b[-1] == net.n_params - 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_set_param_vector_accepts_float_dtypes(self, dtype):
+        net = make_mlp(8, 4, hidden=(6,), seed=3)
+        vec = np.random.default_rng(0).standard_normal(net.n_params).astype(dtype)
+        net.set_param_vector(vec)
+        out = net.param_vector()
+        assert out.dtype == np.float64
+        assert np.array_equal(out, vec.astype(np.float64))
+
+    def test_set_param_vector_rejects_wrong_shape(self):
+        net = make_mlp(8, 4, hidden=(6,), seed=3)
+        with pytest.raises(ValueError):
+            net.set_param_vector(np.zeros(net.n_params + 1, dtype=np.float32))
+        with pytest.raises(ValueError):
+            net.set_param_vector(np.zeros((1, net.n_params)))
+
+    @pytest.mark.parametrize("build", ["mlp", "cnn"])
+    def test_batch_grad_matches_full_backward(self, build, rng):
+        if build == "mlp":
+            net = make_mlp(12, 5, hidden=(9, 7), seed=4)
+            x = rng.standard_normal((6, 12))
+        else:
+            net = make_cnn_lite(8, 2, 5, channels=(3, 4), seed=4)
+            x = rng.standard_normal((6, 2, 8, 8))
+        y = rng.integers(0, 5, 6)
+        _, grad = net.batch_grad(x, y)
+        assert np.array_equal(grad, full_backward_grad(net, x, y))
+        # a second batch starts from zeroed gradients
+        x2 = rng.standard_normal(x.shape)
+        _, grad2 = net.batch_grad(x2, y)
+        assert np.array_equal(grad2, full_backward_grad(net, x2, y))
+
+    def test_backward_stops_at_lowest_parameterised_layer(self, rng):
+        gen = np.random.default_rng(6)
+        net = Sequential([Flatten(), Dense(12, 6, gen), ReLU(), Dense(6, 3, gen)])
+        calls = []
+        for i, layer in enumerate(net.layers):
+            def spy(dout, need_input_grad=True, _i=i, _backward=layer.backward):
+                calls.append((_i, need_input_grad))
+                return _backward(dout, need_input_grad=need_input_grad)
+
+            layer.backward = spy
+        net.loss_and_grad(rng.standard_normal((4, 3, 4)), rng.integers(0, 3, 4))
+        assert calls == [(3, True), (2, True), (1, False)]
+
+    def test_stateless_network(self, rng):
+        net = Sequential([Flatten()])
+        assert net.n_params == 0 and net.param_vector().shape == (0,)
+        loss, grad = net.batch_grad(rng.standard_normal((2, 2, 2)), np.array([0, 1]))
+        assert np.isfinite(loss) and grad.shape == (0,)
+
+
 class TestTrainingBehaviour:
     def test_mlp_learns_blobs(self, rng):
         from repro.mlopt import make_dense_classification
