@@ -478,6 +478,16 @@ class Communicator(abc.ABC):
         """
         return None
 
+    def _await_abort(self, timeout: float) -> bool:
+        """Wait up to ``timeout`` seconds for the world abort flag.
+
+        Returns whether the world is aborted. Backends whose progress
+        engine runs only inside transport calls (shmem) override this to
+        keep driving it, since that is where they observe a peer's death.
+        """
+        state = self._abort_state()
+        return state is not None and state.wait(timeout)
+
     @property
     def world_rank(self) -> int:
         """The world-level rank trace events are attributed to.

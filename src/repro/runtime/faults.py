@@ -17,7 +17,8 @@ which messages to break — adapted to this runtime's transport hooks:
     a proxy communicator that applies the plan at the transport-hook
     layer: drops vanish on the wire *after* the send is traced (exactly
     where a real network would lose them), delays sleep before the send,
-    kills terminate the rank mid-collective.
+    kills terminate the rank mid-collective, and survivors past the kill
+    op wait briefly for the world to see the death (see :class:`FaultPlan`).
 :class:`FaultyBackend`
     a wrapper backend registered as ``"faulty"``; the spec string
     ``"faulty:<inner>"`` (e.g. ``run_ranks(..., backend="faulty:shmem")``)
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from .backend import Backend, ParallelResult, get_backend, register_backend
-from .comm import Communicator
+from .comm import Communicator, WorldAbortedError
 from .thread_backend import ThreadComm
 from .trace import Trace
 
@@ -49,10 +50,18 @@ __all__ = [
     "FaultyComm",
     "RankKilledError",
     "KILL_EXIT_CODE",
+    "KILL_GATE_S",
+    "KILL_GATE_STEP_S",
 ]
 
 #: exit status of a rank hard-killed by a plan on a process-family backend.
 KILL_EXIT_CODE = 113
+
+#: longest one survivor operation past a plan's kill op waits for the world
+#: to observe the victim's death (seconds), and the total a survivor spends
+#: in such waits over a run. See :class:`FaultPlan`.
+KILL_GATE_STEP_S = 0.01
+KILL_GATE_S = 2.0
 
 #: the three actions a plan can take on one message.
 DROP, DELAY, PASS = "drop", "delay", "pass"
@@ -104,6 +113,17 @@ class FaultPlan:
     ``(src, dst, tag, seq)`` key and take precedence. ``kill_rank`` dies
     on its ``kill_after_ops``-th transport operation (sends and receives
     both count), so the kill lands mid-collective deterministically.
+
+    The kill is a world event at that logical time, not only the
+    victim's: while the victim may still be alive, every survivor
+    transport operation past ``kill_after_ops`` first waits up to
+    :data:`KILL_GATE_STEP_S` for the world to observe the death, and
+    raises the resulting :class:`~repro.runtime.comm.RankFailedError`
+    once it does. So a survivor that never talks to the victim surfaces
+    the failure like one blocked on it, instead of racing the victim to
+    the end of the program. The waits are per operation (a victim stuck
+    behind a survivor's later message still gets it) and add up to at
+    most :data:`KILL_GATE_S` per survivor.
     """
 
     seed: int = 0
@@ -287,6 +307,9 @@ class FaultyComm(Communicator):
         self.op_timeout = inner.op_timeout
         self._collective_counter = 0
         self._ops = 0
+        #: what is left of this survivor's :data:`KILL_GATE_S` budget; zero
+        #: once a world failure has reached the program through this proxy
+        self._gate_left = KILL_GATE_S
 
     @property
     def world_rank(self) -> int:
@@ -311,8 +334,26 @@ class FaultyComm(Communicator):
     # -- the fault interposition ----------------------------------------
     def _tick(self) -> None:
         self._ops += 1
-        if self.plan.kills(self.inner.rank, self._ops):
-            self._die()
+        plan = self.plan
+        if plan.kill_rank is None:
+            return
+        if self.inner.rank == plan.kill_rank:
+            if plan.kills(self.inner.rank, self._ops):
+                self._die()
+        elif self._ops > plan.kill_after_ops and self._gate_left > 0:
+            self._await_kill()
+
+    def _await_kill(self) -> None:
+        """Survivor side of the kill: give the world a moment to see it."""
+        if self.plan.kill_rank in getattr(self.inner, "dead_ranks", ()):
+            self._gate_left = 0.0  # a shrink already settled the death
+            return
+        start = time.monotonic()
+        aborted = self.inner._await_abort(min(KILL_GATE_STEP_S, self._gate_left))
+        self._gate_left -= time.monotonic() - start
+        if aborted:
+            self._gate_left = 0.0
+            raise self.inner._abort_state().error()
 
     def _die(self) -> None:
         if isinstance(self.inner, ThreadComm):
@@ -330,11 +371,19 @@ class FaultyComm(Communicator):
             return  # lost on the wire; the matching recv never completes
         if action == DELAY:
             time.sleep(delay)
-        self.inner._transport_send(obj, nbytes, seq, dest, tag)
+        try:
+            self.inner._transport_send(obj, nbytes, seq, dest, tag)
+        except WorldAbortedError:
+            self._gate_left = 0.0
+            raise
 
     def _transport_recv(self, source: int, tag: int) -> tuple[Any, int, int]:
         self._tick()
-        return self.inner._transport_recv(source, tag)
+        try:
+            return self.inner._transport_recv(source, tag)
+        except WorldAbortedError:
+            self._gate_left = 0.0
+            raise
 
 
 class _FaultyProgram:

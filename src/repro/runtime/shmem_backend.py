@@ -664,6 +664,16 @@ class ShmemComm(MeshComm):
         self._run_progress(0.0)
         return box.has_items()
 
+    def _await_abort(self, timeout: float) -> bool:
+        deadline = time.monotonic() + timeout
+        while not self.aborted.is_set():
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return False
+            self._flush_dings()  # a peer may be waiting on our last frame
+            self._run_progress(min(remaining, _PROGRESS_WAIT_S))
+        return True
+
     def shutdown(self) -> None:
         """Graceful wind-down: tell every peer this rank is done sending."""
         total, parts = encode_frame_parts(_FIN_TAG, -1, 0, None, self.epoch)

@@ -17,6 +17,7 @@ from ``DeferredRecvHandle.test()``, and ``split`` color validation.
 import pickle
 import socket as socketlib
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -527,6 +528,44 @@ class TestFailurePropagationThroughProxies:
         err = ei.value
         assert err.partial_results is not None
         survivors = [v for r, v in enumerate(err.partial_results) if r != victim]
+        assert survivors == [("failed", victim)] * 2
+
+
+def _late_victim_prog(comm, victim):
+    """The victim starts late; the other two ping-pong without it."""
+    try:
+        if comm.rank == victim:
+            time.sleep(0.1)  # a victim scheduled long after its peers
+            comm.send(np.arange(2.0), dest=(victim + 1) % comm.size, tag=3)
+            return "victim lived"
+        peer = next(r for r in range(comm.size) if r not in (victim, comm.rank))
+        for _ in range(50):
+            if comm.rank < peer:
+                comm.send(np.arange(2.0), dest=peer, tag=1)
+                comm.recv(source=peer, tag=2)
+            else:
+                comm.recv(source=peer, tag=1)
+                comm.send(np.arange(2.0), dest=peer, tag=2)
+        return "ok"
+    except RankFailedError as exc:
+        return ("failed", exc.rank)
+
+
+class TestKillIsAWorldEvent:
+    """Survivors cannot outrun a scheduled kill, however they are scheduled."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_survivors_that_never_talk_to_a_late_victim_still_fail(self, backend):
+        victim = 1
+        with pytest.raises(RankError) as ei:
+            run_ranks(
+                _late_victim_prog,
+                3,
+                victim,
+                backend=backend,
+                fault_plan=FaultPlan(kill_rank=victim, kill_after_ops=1),
+            )
+        survivors = [v for r, v in enumerate(ei.value.partial_results) if r != victim]
         assert survivors == [("failed", victim)] * 2
 
 
